@@ -19,17 +19,13 @@ ThreadCluster::ThreadCluster(const ClusterConfig& config, Options options)
   // The ThreadTimerDriver supplies real-time RTOs and injected delays.
   wiring.make_timer = [] { return std::make_unique<net::ThreadTimerDriver>(); };
   stack_ = std::make_unique<engine::NodeStack>(config_, std::move(wiring));
-  if (config_.executor == engine::ExecutorKind::kPooled) {
-    engine::PooledExecutor::Options popt;
-    popt.workers = config_.workers;
-    executor_ =
-        std::make_unique<engine::PooledExecutor>(*stack_, *transport_, popt);
-  } else {
-    engine::ThreadExecutor::Options xopt;
-    xopt.time_scale = options.time_scale;
-    executor_ =
-        std::make_unique<engine::ThreadExecutor>(*stack_, *transport_, xopt);
-  }
+  // Per-site is the W = n shape of the pool: site s runs on worker s.
+  engine::PooledExecutor::Options popt;
+  popt.workers = config_.executor == engine::ExecutorKind::kPerSite
+                     ? static_cast<unsigned>(config_.sites)
+                     : config_.workers;
+  popt.time_scale = options.time_scale;
+  executor_ = std::make_unique<engine::PooledExecutor>(*stack_, *transport_, popt);
   driver_ = std::make_unique<engine::ScheduleDriver>(*stack_, *executor_);
 }
 

@@ -3,15 +3,15 @@
 //
 // The cluster supplies the substrate-specific edges (ThreadTransport and
 // its ThreadTimerDriver) and delegates assembly to engine::NodeStack and
-// schedule execution to engine::ScheduleDriver plus the executor the
-// config selects: ThreadExecutor (the default — one application thread
-// per site, blocking on RemoteFetch exactly as §II-B prescribes) or
-// PooledExecutor (EngineConfig::executor = kPooled — N sites multiplexed
-// over a fixed worker pool, the throughput lane). Message counts and
-// sizes are schedule-determined and must match the discrete-event run bit
-// for bit where contents are interleaving-independent (counts,
-// Full-Track/optP clock sizes); the test suite asserts the
-// cross-transport and cross-executor equivalences that hold.
+// schedule execution to engine::ScheduleDriver plus an
+// engine::PooledExecutor whose width the config selects: one worker per
+// site (ExecutorKind::kPerSite, the default — each site's application
+// thread blocks on RemoteFetch exactly as §II-B prescribes) or `workers`
+// workers (ExecutorKind::kPooled — N sites multiplexed over a fixed pool,
+// the throughput lane). Message counts and sizes are schedule-determined
+// and must match the discrete-event run bit for bit where contents are
+// interleaving-independent (counts, Full-Track/optP clock sizes); the
+// test suite asserts the cross-transport equivalences that hold.
 #pragma once
 
 #include <memory>
@@ -54,8 +54,8 @@ class ThreadCluster {
   /// above the raw DSM ops — see ScheduleDriver::set_dispatch_hook).
   engine::ScheduleDriver& driver() { return *driver_; }
 
-  /// Plays the schedule with one application thread per site, waits for
-  /// network quiescence, and verifies every update was applied.
+  /// Plays the schedule on the executor's workers, waits for network
+  /// quiescence, and verifies every update was applied.
   void execute(const workload::Schedule& schedule);
 
   stats::MessageStats aggregate_message_stats() const;
@@ -72,7 +72,7 @@ class ThreadCluster {
   Options options_;
   std::unique_ptr<net::ThreadTransport> transport_;
   std::unique_ptr<engine::NodeStack> stack_;
-  /// ThreadExecutor or PooledExecutor, per ClusterConfig::executor.
+  /// A PooledExecutor, W = n or W = workers per ClusterConfig::executor.
   std::unique_ptr<engine::Executor> executor_;
   std::unique_ptr<engine::ScheduleDriver> driver_;
 };

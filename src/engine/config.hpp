@@ -32,16 +32,17 @@ class LiveTelemetry;
 
 namespace causim::engine {
 
-/// Which schedule-execution substrate a thread-backed cluster runs.
+/// Which schedule-execution substrate a thread-backed cluster runs. Both
+/// kinds are the same engine::PooledExecutor at a different width W; the
+/// discrete-event Cluster always uses SimExecutor and ignores this field.
 enum class ExecutorKind : std::uint8_t {
-  /// One application thread per site (ThreadExecutor) — the paper's
-  /// one-process-per-site testbed, and the byte-identical default. The
-  /// discrete-event Cluster always uses SimExecutor and ignores this
-  /// field.
+  /// W = n: one worker thread per site, the paper's one-process-per-site
+  /// testbed (a site blocks on RemoteFetch on its own thread). The
+  /// default.
   kPerSite = 0,
   /// N sites multiplexed over a fixed pool of `workers` worker threads
-  /// (PooledExecutor): per-site serialized invokers on a shared ready
-  /// queue, the PaRiS/Okapi "many partitions per server" regime.
+  /// (site s on worker s % W), the PaRiS/Okapi "many partitions per
+  /// server" regime.
   kPooled,
 };
 
@@ -104,8 +105,7 @@ struct EngineConfig {
   /// timing does not.
   bool reliable_channel = false;
   net::ReliableConfig reliable_config;
-  /// Thread-path execution substrate (see ExecutorKind). The default
-  /// keeps ThreadCluster runs byte-identical to the pre-pool engine.
+  /// Thread-path execution substrate (see ExecutorKind).
   ExecutorKind executor = ExecutorKind::kPerSite;
   /// Worker threads for ExecutorKind::kPooled; 0 = one per hardware
   /// thread. Must stay 0 with the per-site executor (validated) — a

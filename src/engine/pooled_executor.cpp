@@ -22,7 +22,9 @@ PooledExecutor::PooledExecutor(NodeStack& stack, net::ThreadTransport& transport
                                Options options)
     : stack_(stack),
       transport_(transport),
-      workers_target_(resolve_workers(options.workers)) {}
+      workers_target_(resolve_workers(options.workers)),
+      time_scale_(options.time_scale),
+      workers_(std::make_unique<Worker[]>(workers_target_)) {}
 
 PooledExecutor::~PooledExecutor() { abort(); }
 
@@ -35,40 +37,38 @@ void PooledExecutor::play(ScheduleDriver& driver,
     schedule_ = &schedule;
     sites_ = std::make_unique<SiteState[]>(n);
     live_sites_.store(n, std::memory_order_release);
+    stop_.store(false, std::memory_order_release);
     transport_.start();
     started_ = true;
     start_live_sampler();
-    {
-      std::lock_guard lock(mutex_);
-      stop_.store(false, std::memory_order_release);
-      ready_.clear();
-      for (SiteId s = 0; s < n; ++s) ready_.push_back(s);
-    }
-    workers_.reserve(workers_target_);
+    // No worker runs yet, so the queues need no locks here.
+    for (unsigned i = 0; i < workers_target_; ++i) workers_[i].queue.clear();
+    for (SiteId s = 0; s < n; ++s) workers_[s % workers_target_].queue.push_back(s);
     for (unsigned i = 0; i < workers_target_; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      Worker& w = workers_[i];
+      w.thread = std::thread([this, &w] { worker_loop(w); });
     }
   }
   // All application work happens on the pool; this thread only waits for
   // the last site to finish — or for an abort() to pull the plug.
-  std::unique_lock lock(mutex_);
+  std::unique_lock lock(done_mutex_);
   done_cv_.wait(lock, [this] {
     return live_sites_.load(std::memory_order_acquire) == 0 ||
            stop_.load(std::memory_order_acquire);
   });
 }
 
-void PooledExecutor::worker_loop() {
+void PooledExecutor::worker_loop(Worker& w) {
   for (;;) {
     SiteId s;
     {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !ready_.empty();
+      std::unique_lock lock(w.mutex);
+      w.cv.wait(lock, [this, &w] {
+        return stop_.load(std::memory_order_acquire) || !w.queue.empty();
       });
       if (stop_.load(std::memory_order_acquire)) return;
-      s = ready_.front();
-      ready_.pop_front();
+      s = w.queue.front();
+      w.queue.pop_front();
     }
     run_site(s);
   }
@@ -84,6 +84,12 @@ void PooledExecutor::run_site(SiteId s) {
       return;
     }
     const workload::Op& op = ops[st.cursor];
+    if (time_scale_ > 0.0) {
+      const auto gap = static_cast<std::int64_t>(
+          static_cast<double>(op.at - st.prev_at) * time_scale_);
+      if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
+      st.prev_at = op.at;
+    }
     st.gate.store(0, std::memory_order_release);
     driver_->dispatch(s, op, [this, s] { complete(s); });
     if (st.gate.fetch_add(1, std::memory_order_acq_rel) == 1) {
@@ -114,28 +120,31 @@ void PooledExecutor::complete(SiteId s) {
 }
 
 void PooledExecutor::enqueue(SiteId s) {
+  Worker& w = workers_[s % workers_target_];
   {
-    std::lock_guard lock(mutex_);
-    ready_.push_back(s);
+    std::lock_guard lock(w.mutex);
+    w.queue.push_back(s);
   }
-  cv_.notify_one();
+  w.cv.notify_one();
 }
 
 void PooledExecutor::site_finished() {
   if (live_sites_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last site done. Take the lock before notifying so play()'s
     // predicate check cannot slip between our decrement and the notify.
-    std::lock_guard lock(mutex_);
+    std::lock_guard lock(done_mutex_);
     done_cv_.notify_all();
   }
 }
 
 void PooledExecutor::drain() {
-  // Identical shutdown ladder to ThreadExecutor::drain — the substrate
-  // differs above the stack, not inside it: flush pending gateway
-  // mailboxes and batch frames (looping while in-flight enroute/reply
-  // traffic refills a mailbox), wait out the reliability layer, stop the
-  // timer, drain the wire.
+  // All senders are done. With the cross-DC gateway up, the flush and
+  // quiescence steps loop: a mailbox can be *refilled* mid-drain — an
+  // enroute frame still in flight lands at its gateway after the flush,
+  // and an FM fanned out of a mailbox triggers an RM reply that enters a
+  // fresh one. Each pass strictly moves messages down the stack and the
+  // senders have stopped, so the loop terminates once the last reply made
+  // it through.
   do {
     if (stack_.gateway() != nullptr) stack_.gateway()->flush_all();
     if (stack_.batching() != nullptr) stack_.batching()->flush_all();
@@ -169,16 +178,17 @@ void PooledExecutor::abort() {
 }
 
 void PooledExecutor::stop_workers() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_.store(true, std::memory_order_release);
-  }
-  cv_.notify_all();
+  stop_.store(true, std::memory_order_release);
+  // Passing through each waiter's mutex orders the store before any
+  // predicate check that could otherwise miss it and sleep forever.
+  { std::lock_guard lock(done_mutex_); }
   done_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
+  for (unsigned i = 0; i < workers_target_; ++i) {
+    Worker& w = workers_[i];
+    { std::lock_guard lock(w.mutex); }
+    w.cv.notify_all();
+    if (w.thread.joinable()) w.thread.join();
   }
-  workers_.clear();
 }
 
 void PooledExecutor::start_live_sampler() {
@@ -190,6 +200,8 @@ void PooledExecutor::start_live_sampler() {
     std::unique_lock lock(live_mutex_);
     while (!live_stop_) {
       lock.unlock();
+      // The stack snapshots under per-site locks; the telemetry stamps the
+      // sample with its own steady clock (no engine clock under threads).
       stack_.live_sample(0);
       lock.lock();
       live_cv_.wait_for(lock, period, [this] { return live_stop_; });

@@ -1,11 +1,8 @@
 #include "engine/schedule_driver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/panic.hpp"
-#include "net/thread_transport.hpp"
 #include "obs/live/live_telemetry.hpp"
 #include "sim/simulator.hpp"
 
@@ -102,115 +99,6 @@ void SimExecutor::sample_live() {
     simulator_.schedule_after(stack_.config().live->sample_interval(),
                               [this] { sample_live(); });
   }
-}
-
-// ---------------------------------------------------------------------------
-
-void ThreadExecutor::play(ScheduleDriver& driver, const workload::Schedule& schedule) {
-  transport_.start();
-  started_ = true;
-  start_live_sampler();
-
-  std::vector<std::thread> apps;
-  apps.reserve(stack_.sites());
-  for (SiteId s = 0; s < stack_.sites(); ++s) {
-    apps.emplace_back([this, s, &driver, &schedule] {
-      SimTime prev = 0;
-      for (const workload::Op& op : schedule.per_site[s]) {
-        if (options_.time_scale > 0.0) {
-          const auto gap = static_cast<std::int64_t>(
-              static_cast<double>(op.at - prev) * options_.time_scale);
-          if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
-          prev = op.at;
-        }
-        // One latch per op: dispatch fires `done` inline for writes and
-        // local reads, from the receipt thread for remote reads.
-        std::mutex m;
-        std::condition_variable cv;
-        bool done = false;
-        // Notify *under* the mutex: the latch lives on this stack frame,
-        // and the waiter may only destroy it after the signaler's last
-        // touch of `cv` — which the held lock guarantees.
-        driver.dispatch(s, op, [&] {
-          std::lock_guard lock(m);
-          done = true;
-          cv.notify_one();
-        });
-        std::unique_lock lock(m);
-        cv.wait(lock, [&] { return done; });
-      }
-    });
-  }
-  for (auto& t : apps) t.join();
-}
-
-void ThreadExecutor::drain() {
-  // All senders are done; wait for the network to drain. Shutdown order
-  // with the fault stack up: (0) the batching layer flushes every pending
-  // frame — the sites stopped sending, so after this the layers below
-  // hold every message, (1) the reliability layer reaches app-level
-  // quiescence (every packet delivered exactly once and acked —
-  // retransmission timers still live to get it there), (2) the timer
-  // stops, discarding pending callbacks (all droppable now: stale
-  // retransmits, delayed duplicates, empty batch flushes) so nothing
-  // races the transport teardown, (3) the wire drains.
-  //
-  // With the cross-DC gateway up, steps 0–1 loop: a mailbox can be
-  // *refilled* mid-drain — an enroute frame still in flight lands at its
-  // gateway after the flush, and an FM fanned out of a mailbox triggers an
-  // RM reply that enters a fresh one. Each pass strictly moves messages
-  // down the stack and the senders have stopped, so the loop terminates
-  // once the last reply made it through.
-  do {
-    if (stack_.gateway() != nullptr) stack_.gateway()->flush_all();
-    if (stack_.batching() != nullptr) stack_.batching()->flush_all();
-    if (stack_.reliable() != nullptr) stack_.reliable()->wait_quiescent();
-    if (stack_.gateway() != nullptr) transport_.quiesce();
-  } while (stack_.gateway() != nullptr && !stack_.gateway()->quiescent());
-  if (stack_.timer() != nullptr) stack_.timer()->stop();
-  transport_.quiesce();
-}
-
-void ThreadExecutor::finish() {
-  stop_live_sampler();
-  transport_.stop();
-  started_ = false;
-}
-
-void ThreadExecutor::abort() {
-  if (!started_) return;
-  stop_live_sampler();
-  if (stack_.timer() != nullptr) stack_.timer()->stop();
-  transport_.stop();
-  started_ = false;
-}
-
-void ThreadExecutor::start_live_sampler() {
-  obs::live::LiveTelemetry* live = stack_.config().live;
-  if (live == nullptr || live->sample_interval() <= 0) return;
-  live_stop_ = false;
-  live_sampler_ = std::thread([this, live] {
-    const auto period = std::chrono::microseconds(live->sample_interval());
-    std::unique_lock lock(live_mutex_);
-    while (!live_stop_) {
-      lock.unlock();
-      // The stack snapshots under per-site locks; the telemetry stamps the
-      // sample with its own steady clock (no engine clock under threads).
-      stack_.live_sample(0);
-      lock.lock();
-      live_cv_.wait_for(lock, period, [this] { return live_stop_; });
-    }
-  });
-}
-
-void ThreadExecutor::stop_live_sampler() {
-  if (!live_sampler_.joinable()) return;
-  {
-    std::lock_guard lock(live_mutex_);
-    live_stop_ = true;
-  }
-  live_cv_.notify_all();
-  live_sampler_.join();
 }
 
 }  // namespace causim::engine

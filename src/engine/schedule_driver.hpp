@@ -7,23 +7,17 @@
 // driver owns that contract in dispatch(); an Executor supplies only the
 // substrate mechanics — how ops are scheduled in time, how the network is
 // drained, how the substrate shuts down. SimExecutor replays the schedule
-// as simulator events (deterministic, continuation-driven); ThreadExecutor
-// runs one application thread per site that blocks on each op's
-// completion, standing in for the paper's one-process-per-site testbed.
+// as simulator events (deterministic, continuation-driven);
+// PooledExecutor (engine/pooled_executor.hpp) runs the sites on real
+// threads — one worker per site stands in for the paper's
+// one-process-per-site testbed, fewer workers multiplex the sites.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "engine/node_stack.hpp"
 #include "workload/schedule.hpp"
-
-namespace causim::net {
-class ThreadTransport;
-}  // namespace causim::net
 
 namespace causim::sim {
 class Simulator;
@@ -119,50 +113,6 @@ class SimExecutor final : public Executor {
   /// comparing against plain idle() would let two periodic samplers keep
   /// each other alive forever past quiescence.
   std::size_t sampler_events_ = 0;
-};
-
-/// Real-thread substrate: one application thread per site issues ops in
-/// order, sleeping out schedule gaps when time_scale > 0 and blocking on a
-/// latch until each op's completion fires. drain() runs the shared
-/// shutdown sequence: reliability-layer quiescence first (retransmission
-/// timers still live to get it there), then the timer stops (pending
-/// callbacks are all droppable by then), then the wire drains.
-class ThreadExecutor final : public Executor {
- public:
-  struct Options {
-    /// Sleep schedule gaps scaled by this factor (0 = run at full speed;
-    /// 1e-6 turns a millisecond of schedule time into a microsecond).
-    double time_scale = 0.0;
-  };
-
-  ThreadExecutor(NodeStack& stack, net::ThreadTransport& transport,
-                 Options options)
-      : stack_(stack), transport_(transport), options_(options) {}
-
-  void play(ScheduleDriver& driver, const workload::Schedule& schedule) override;
-  void drain() override;
-  void finish() override;
-
-  /// Stops the timer and the transport so no background thread outlives
-  /// the stack (see Executor::abort).
-  void abort() override;
-
- private:
-  void start_live_sampler();
-  void stop_live_sampler();
-
-  NodeStack& stack_;
-  net::ThreadTransport& transport_;
-  Options options_;
-  bool started_ = false;
-
-  /// Live time-series sampler: real time stands in for the DES clock, so
-  /// a dedicated thread ticks NodeStack::live_sample every
-  /// LiveTelemetry::sample_interval microseconds of wall time until drain.
-  std::thread live_sampler_;
-  std::mutex live_mutex_;
-  std::condition_variable live_cv_;
-  bool live_stop_ = false;
 };
 
 }  // namespace causim::engine

@@ -211,7 +211,7 @@ class GatewayMailbox final : public Transport, public PacketHandler {
   /// Ships every non-empty mailbox. Executors call this at the start of
   /// drain — note a flush can strand *new* enroute arrivals in a mailbox,
   /// so thread-path drains loop flush_all + inner quiescence until
-  /// quiescent() (see ThreadExecutor::drain).
+  /// quiescent() (see PooledExecutor::drain).
   void flush_all();
 
   /// Nothing buffered in any mailbox and every accepted message delivered.

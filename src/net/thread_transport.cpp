@@ -71,9 +71,6 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     std::lock_guard lock(state_mutex_);
     CAUSIM_CHECK(running_ && !stopping_, "send on a stopped transport");
     ++in_flight_;
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
     ++sent_;
   }
   const std::size_t channel = static_cast<std::size_t>(from) * inboxes_.size() + to;
@@ -185,7 +182,6 @@ void ThreadTransport::receipt_loop(SiteId site) {
       if (inbox.queue.empty()) return;  // stopping and drained
       p = std::move(inbox.queue.front());
       inbox.queue.pop_front();
-      inbox.handling = true;
     }
     if (trace_ != nullptr) {
       obs::TraceEvent e;
@@ -199,17 +195,10 @@ void ThreadTransport::receipt_loop(SiteId site) {
     }
     inbox.handler->on_packet(std::move(p));
     {
-      std::lock_guard lock(inbox.mutex);
-      inbox.handling = false;
-    }
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++delivered_;
-    }
-    {
       std::lock_guard lock(state_mutex_);
       CAUSIM_CHECK(in_flight_ > 0, "delivered more packets than were sent");
       --in_flight_;
+      ++delivered_;
       if (in_flight_ == 0) quiesce_cv_.notify_all();
     }
   }
@@ -230,7 +219,13 @@ void ThreadTransport::stop() {
     std::lock_guard lock(state_mutex_);
     stopping_ = true;
   }
-  for (auto& inbox : inboxes_) inbox->cv.notify_all();
+  for (auto& inbox : inboxes_) {
+    // Pass through the inbox mutex: a receipt thread that checked
+    // stopping_ just before it was set would otherwise miss the notify
+    // and wait forever.
+    { std::lock_guard lock(inbox->mutex); }
+    inbox->cv.notify_all();
+  }
   wire_cv_.notify_all();
   for (auto& t : receivers_) t.join();
   receivers_.clear();
@@ -240,12 +235,12 @@ void ThreadTransport::stop() {
 }
 
 std::uint64_t ThreadTransport::packets_sent() const {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(state_mutex_);
   return sent_;
 }
 
 std::uint64_t ThreadTransport::packets_delivered() const {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(state_mutex_);
   return delivered_;
 }
 

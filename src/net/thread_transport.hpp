@@ -68,7 +68,6 @@ class ThreadTransport final : public Transport {
     std::condition_variable cv;
     std::deque<Packet> queue;
     PacketHandler* handler = nullptr;
-    bool handling = false;  // receipt thread is inside a handler call
   };
 
   struct TimedPacket {
@@ -90,9 +89,6 @@ class ThreadTransport final : public Transport {
   std::deque<TimedPacket> wire_queue_;  // kept sorted by due time
   std::thread wire_thread_;
 
-  mutable std::mutex stats_mutex_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   // channel_seq_[from * n + to]: next FIFO sequence number on the channel.
   // Assigned inside the critical section that orders the enqueue (the wire
   // mutex with a delay stage, the target inbox mutex without), so sequence
@@ -104,9 +100,13 @@ class ThreadTransport final : public Transport {
   std::chrono::steady_clock::time_point epoch_;
   SimTime trace_now() const;
 
-  std::mutex state_mutex_;
+  // Guards the run state and the packet counters; one section per send
+  // and one per delivery.
+  mutable std::mutex state_mutex_;
   std::condition_variable quiesce_cv_;
   std::uint64_t in_flight_ = 0;  // sent but not yet fully handled
+  std::uint64_t sent_ = 0;
+  std::uint64_t delivered_ = 0;
   bool running_ = false;
   bool stopping_ = false;
 };

@@ -40,7 +40,7 @@ class TimerDriver {
 
   /// Stops the driver, discarding callbacks that have not fired. A no-op
   /// for drivers with nothing to tear down (the simulator owns its queue);
-  /// engine::ThreadExecutor calls this through the base interface during
+  /// engine::PooledExecutor calls this through the base interface during
   /// the shared shutdown sequence.
   virtual void stop() {}
 };

@@ -510,10 +510,13 @@ workload::Schedule single_writer_schedule(SiteId n, VarId variables,
   return schedule;
 }
 
-/// The pooled executor against the per-site ThreadExecutor, across every
-/// protocol and the worker-count regimes that exercise distinct pool
-/// shapes: W=1 (fully serialized pool), W=0 (hardware concurrency) and
-/// W>n (more workers than sites — some never find work).
+/// Every pool shape against the discrete-event run — the reference: with
+/// a single-writer schedule the counts, header/payload bytes and final
+/// store state are interleaving-independent, so each thread run must
+/// reproduce the DES run's. The worker axis covers the distinct pool
+/// shapes: W=1 (fully serialized pool), W=0 (hardware concurrency), W=n
+/// (the per-site configuration, one worker per site) and W>n (more
+/// workers than sites — some never find work).
 class PooledExecutorEquivalence
     : public ::testing::TestWithParam<
           std::tuple<causal::ProtocolKind, unsigned>> {};
@@ -526,18 +529,22 @@ TEST_P(PooledExecutorEquivalence, MatchesPerSiteExecutor) {
   const auto schedule = single_writer_schedule(n, variables, 60, seed);
 
   auto config = config_for(kind, n, seed);
-  dsm::ThreadCluster per_site(config);
-  per_site.execute(schedule);
+  dsm::Cluster des(config);
+  des.execute(schedule);
 
-  config.executor = ExecutorKind::kPooled;
-  config.workers = workers;
+  if (workers == n) {
+    config.executor = ExecutorKind::kPerSite;
+  } else {
+    config.executor = ExecutorKind::kPooled;
+    config.workers = workers;
+  }
   dsm::ThreadCluster pooled(config);
   pooled.execute(schedule);
 
   // Per-kind counts and header/payload bytes are schedule+placement
   // determined; meta bytes only for the fixed-size clocks (the log-carrying
   // protocols piggyback interleaving-dependent bytes).
-  const auto a = per_site.aggregate_message_stats();
+  const auto a = des.aggregate_message_stats();
   const auto b = pooled.aggregate_message_stats();
   for (const MessageKind mk : kAllMessageKinds) {
     EXPECT_EQ(a.of(mk).count, b.of(mk).count) << to_string(kind);
@@ -552,8 +559,8 @@ TEST_P(PooledExecutorEquivalence, MatchesPerSiteExecutor) {
   // Single-writer final stores must agree replica by replica.
   for (VarId v = 0; v < variables; ++v) {
     for (SiteId s = 0; s < n; ++s) {
-      if (!per_site.placement().replicated_at(v, s)) continue;
-      const auto [value_a, write_a] = per_site.site(s).local_value(v);
+      if (!des.placement().replicated_at(v, s)) continue;
+      const auto [value_a, write_a] = des.site(s).local_value(v);
       const auto [value_b, write_b] = pooled.site(s).local_value(v);
       EXPECT_EQ(value_a.id, value_b.id) << "var " << v << " at site " << s;
       EXPECT_EQ(write_a, write_b) << "var " << v << " at site " << s;
@@ -568,7 +575,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          causal::ProtocolKind::kOptTrack,
                                          causal::ProtocolKind::kOptTrackCrp,
                                          causal::ProtocolKind::kOptP),
-                       ::testing::Values(1u, 0u /* hardware */, 9u /* > n */)),
+                       ::testing::Values(1u, 0u /* hardware */, 6u /* = n */,
+                                         9u /* > n */)),
     [](const ::testing::TestParamInfo<std::tuple<causal::ProtocolKind, unsigned>>&
            param_info) {
       std::string name = to_string(std::get<0>(param_info.param));

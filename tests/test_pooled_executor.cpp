@@ -1,8 +1,10 @@
-// Concurrency harness for engine::PooledExecutor — the sharded worker
-// pool that multiplexes N sites over W workers.
+// Concurrency harness for engine::PooledExecutor — the worker pool that
+// multiplexes N sites over W workers, each with its own run queue.
 //
 // Three families of pressure:
-//   * randomized stress: sites >> workers, seeded schedules, the fault
+//   * randomized stress: pool widths from sites >> workers through W = n
+//     (the per-site configuration) to W > n (workers whose queue stays
+//     empty for the whole run), seeded schedules, the fault
 //     stack injecting drops/dups/delay/pauses underneath, coalescing on
 //     for half the seeds — every seed must drain, quiesce, and pass the
 //     causal checker (seed count scales with CAUSIM_POOL_SEEDS, default
@@ -55,10 +57,11 @@ workload::Schedule schedule_for(SiteId n, std::uint64_t seed,
   return workload::generate_schedule(n, wl);
 }
 
-/// One stress cell: the protocol rotates with the seed, 12 sites share
-/// 2–3 workers, odd seeds coalesce, and two thirds of the seeds run over
-/// a faulty wire with a short real-time RTO so retransmission actually
-/// interleaves with pool scheduling.
+/// One stress cell: the protocol rotates with the seed, the 12 sites run
+/// on 2, 3, 12 (per-site: one worker each) or 16 workers, odd seeds
+/// coalesce, and two thirds of the seeds run over a faulty wire with a
+/// short real-time RTO so retransmission actually interleaves with pool
+/// scheduling.
 dsm::ClusterConfig stress_config(std::uint64_t seed) {
   const causal::ProtocolKind kind = kProtocols[seed % kProtocols.size()];
   dsm::ClusterConfig config;
@@ -68,8 +71,15 @@ dsm::ClusterConfig stress_config(std::uint64_t seed) {
   config.protocol = kind;
   config.seed = seed;
   config.record_history = true;
-  config.executor = engine::ExecutorKind::kPooled;
-  config.workers = 2 + static_cast<unsigned>(seed % 2);
+  // Any 8 consecutive seeds cover all four widths.
+  constexpr std::array<unsigned, 4> kWidths = {2, 3, 12, 16};
+  const unsigned width = kWidths[(seed / 2) % kWidths.size()];
+  if (width == config.sites) {
+    config.executor = engine::ExecutorKind::kPerSite;
+  } else {
+    config.executor = engine::ExecutorKind::kPooled;
+    config.workers = width;
+  }
   if (seed % 2 == 1) {
     config.batch.enabled = true;
     config.batch.max_messages = 8;
@@ -162,10 +172,12 @@ dsm::ClusterConfig race_config(std::uint64_t seed, bool batch) {
 TEST(PooledExecutorShutdown, AbortRacesLivePlay) {
   // Sweep the abort point from "before any op ran" to "after the run
   // completed on its own": every landing spot must tear down cleanly, and
-  // a second abort() must be a no-op.
+  // a second abort() must be a no-op — also with one worker per site and
+  // with workers whose run queue never receives a site.
+  constexpr std::array<unsigned, 3> kWidths = {2, 8, 11};
   for (int i = 0; i < 14; ++i) {
     RacingStack rig(race_config(static_cast<std::uint64_t>(i), i % 2 == 1),
-                    /*workers=*/2);
+                    kWidths[i % kWidths.size()]);
     const auto schedule =
         schedule_for(8, static_cast<std::uint64_t>(i) + 100, 40);
     std::thread runner(

@@ -4,6 +4,9 @@
 // affect meta-data contents).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "bench_support/experiment.hpp"
 #include "dsm/cluster.hpp"
 #include "dsm/thread_cluster.hpp"
@@ -81,12 +84,39 @@ TEST(ThreadCluster, MessageCountsMatchDiscreteEventRun) {
 }
 
 TEST(ThreadCluster, ScaledGapsStillComplete) {
+  // Each site sleeps its scaled schedule gaps before every op, so a run
+  // can finish no sooner than the longest per-site sum of those sleeps —
+  // on one worker per site and on a single worker serving every site.
   const SiteId n = 3;
-  ThreadCluster::Options options;
-  options.time_scale = 1e-5;  // 2005 ms max gap → 20 µs max sleep
-  ThreadCluster cluster(config_for(causal::ProtocolKind::kOptTrackCrp, n, 8), options);
-  cluster.execute(schedule_for(n, 8));
-  EXPECT_TRUE(cluster.check().ok());
+  constexpr double kScale = 1e-3;  // ~1 s mean gap → ~1 ms sleep per op
+  const auto schedule = schedule_for(n, 8);
+  std::int64_t floor_us = 0;
+  for (const auto& ops : schedule.per_site) {
+    SimTime prev = 0;
+    std::int64_t sum_us = 0;
+    for (const workload::Op& op : ops) {
+      sum_us += static_cast<std::int64_t>(static_cast<double>(op.at - prev) * kScale);
+      prev = op.at;
+    }
+    floor_us = std::max(floor_us, sum_us);
+  }
+  ASSERT_GT(floor_us, 10'000);  // far above an unpaced run of this schedule
+
+  for (const auto executor : {engine::ExecutorKind::kPerSite, engine::ExecutorKind::kPooled}) {
+    ClusterConfig config = config_for(causal::ProtocolKind::kOptTrackCrp, n, 8);
+    config.executor = executor;
+    if (executor == engine::ExecutorKind::kPooled) config.workers = 1;
+    ThreadCluster::Options options;
+    options.time_scale = kScale;
+    ThreadCluster cluster(config, options);
+    const auto start = std::chrono::steady_clock::now();
+    cluster.execute(schedule);
+    const auto took_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    EXPECT_GE(took_us, floor_us) << engine::to_string(executor);
+    EXPECT_TRUE(cluster.check().ok()) << engine::to_string(executor);
+  }
 }
 
 TEST(ThreadCluster, FixedSizeMetaMatchesAcrossTransportsExactly) {
