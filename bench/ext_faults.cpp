@@ -39,7 +39,8 @@
 
 int main(int argc, char** argv) {
   using namespace causim;
-  const auto options = bench_support::parse_bench_args(argc, argv);
+  const auto options =
+      bench_support::parse_bench_args(argc, argv, bench_support::kArqFlags);
   bench_support::Observability observability(options, "ext_faults");
   if (!observability.ok()) return 1;
 

@@ -6,6 +6,7 @@
 // separation keeps widening: Full-Track/optP grow as O(n²)/O(n) per
 // message while Opt-Track/Opt-Track-CRP stay amortized O(n)/O(d).
 #include <chrono>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -16,10 +17,17 @@
 
 int main(int argc, char** argv) {
   using namespace causim;
-  const auto options = bench_support::parse_bench_args(argc, argv);
+  const auto options =
+      bench_support::parse_bench_args(argc, argv, bench_support::kExecutorFlags);
   bench_support::Observability observability(options, "ext_scalability");
   if (!observability.ok()) return 1;
 
+  if (options.batch > 0 && options.executor != engine::ExecutorKind::kPooled) {
+    std::fprintf(stderr,
+                 "--batch applies to the pooled throughput lane only; add "
+                 "--executor pooled\n");
+    return 2;
+  }
   if (options.executor == engine::ExecutorKind::kPooled) {
     // Throughput lane (--executor pooled): real threads over the worker
     // pool instead of the discrete-event clock, so the numbers below are

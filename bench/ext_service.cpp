@@ -22,16 +22,18 @@
 
 int main(int argc, char** argv) {
   using namespace causim;
-  const auto options = bench_support::parse_bench_args(argc, argv);
+  const auto options = bench_support::parse_bench_args(
+      argc, argv, bench_support::kExecutorFlags | bench_support::kTopologyFlags);
   bench_support::Observability observability(options, "ext_service");
   if (!observability.ok()) return 1;
 
   const SiteId sites = 5;
-  // Reuse the CLI topology builder via the standard params struct, then
-  // lift the result into the service's engine config.
-  bench_support::ExperimentParams topo_view;
-  topo_view.sites = sites;
-  bench_support::apply_topology_options(topo_view, options);
+  // Reuse the CLI topology and coalescing builders via the standard
+  // params struct, then lift the result into the service's engine config.
+  bench_support::ExperimentParams cli_view;
+  cli_view.sites = sites;
+  bench_support::apply_topology_options(cli_view, options);
+  bench_support::apply_executor_options(cli_view, options);
 
   stats::Table table(
       "Extension — open-loop KV service (n = 5, p = 2, 4 sessions/site, "
@@ -52,8 +54,9 @@ int main(int argc, char** argv) {
                                       : bench_support::partial_replication_factor(sites);
       params.engine.protocol = protocol;
       params.engine.protocol_options = bench_support::jdk_like_options();
-      params.engine.topology = topo_view.topology;
-      params.engine.gateway = topo_view.gateway;
+      params.engine.topology = cli_view.topology;
+      params.engine.gateway = cli_view.gateway;
+      params.engine.batch = cli_view.batch;
       params.substrate = options.executor == engine::ExecutorKind::kPooled
                              ? kv::Substrate::kPooled
                              : kv::Substrate::kSim;

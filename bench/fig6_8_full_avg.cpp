@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace causim;
-  const auto options = bench_support::parse_bench_args(argc, argv);
+  const auto options =
+      bench_support::parse_bench_args(argc, argv, bench_support::kTopologyFlags);
   bench_support::Observability observability(options, "fig6_8_full_avg");
   if (!observability.ok()) return 1;
   const SiteId ns[] = {5, 10, 20, 30, 35, 40};

@@ -217,6 +217,18 @@ bool parse_topology_spec(const char* spec, BenchOptions& options,
   options.topology_set = true;
   return true;
 }
+/// Sets `error` and returns false when `flag` belongs to a group outside
+/// `groups`.
+bool bench_applies(unsigned groups, BenchFlagGroup group, const char* flag,
+                   std::string& error) {
+  if ((groups & group) != 0) return true;
+  const char* members = group == kExecutorFlags   ? "--executor/--workers/--batch"
+                        : group == kTopologyFlags ? "--topology/--gateway"
+                                                  : "--arq/--adaptive-rto";
+  error = std::string(flag) + " is ignored by this bench (it does not apply " +
+          members + "); drop the flag";
+  return false;
+}
 }  // namespace
 
 std::string bench_usage(const char* argv0) {
@@ -245,14 +257,14 @@ std::string bench_usage(const char* argv0) {
       "                     block; off by default so baseline bench.v1 bytes\n"
       "                     are unchanged\n"
       "  --arq gbn|sr       reliability-layer ARQ mode (go-back-N | selective\n"
-      "                     repeat); only fault benches use it\n"
+      "                     repeat); only fault benches accept it\n"
       "  --adaptive-rto     Jacobson/Karels adaptive RTO instead of the fixed\n"
       "                     initial timeout\n"
       "  --executor KIND    per-site (default: the discrete-event lane, one\n"
       "                     logical thread per site) or pooled (real threads,\n"
       "                     N sites multiplexed over a fixed worker pool —\n"
-      "                     the throughput lane; benches without a pooled\n"
-      "                     section accept but ignore it)\n"
+      "                     the throughput lane; only benches with a pooled\n"
+      "                     section accept it, with --workers and --batch)\n"
       "  --workers N        worker threads for --executor pooled (default:\n"
       "                     hardware concurrency); rejected with per-site\n"
       "  --batch N          coalesce each channel's messages into batch\n"
@@ -263,7 +275,7 @@ std::string bench_usage(const char* argv0) {
       "                     over the sites, a fixed US/2 one-way WAN delay\n"
       "                     between cells (intra-cell links keep the LAN\n"
       "                     default), optional WAN drop rate P in [0, 1);\n"
-      "                     benches without a geo section accept but ignore it\n"
+      "                     only benches with a geo lane accept it and --gateway\n"
       "  --gateway on|off   cross-DC gateway mailboxes: on coalesces\n"
       "                     cross-cell messages through per-cell gateways,\n"
       "                     off keeps direct WAN sends (the A/B baseline);\n"
@@ -273,7 +285,7 @@ std::string bench_usage(const char* argv0) {
 }
 
 bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
-                          std::string& error) {
+                          std::string& error, unsigned groups) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       options.quick = true;
@@ -290,6 +302,7 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
     } else if (const char* t = flag_value(argv[i], "--timeseries-out", argc, argv, i)) {
       options.timeseries_out = t;
     } else if (const char* a = flag_value(argv[i], "--arq", argc, argv, i)) {
+      if (!bench_applies(groups, kArqFlags, "--arq", error)) return false;
       if (std::strcmp(a, "gbn") == 0) {
         options.arq = net::ArqMode::kGoBackN;
       } else if (std::strcmp(a, "sr") == 0) {
@@ -302,8 +315,10 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
     } else if (std::strcmp(argv[i], "--critpath") == 0) {
       options.critpath = true;
     } else if (std::strcmp(argv[i], "--adaptive-rto") == 0) {
+      if (!bench_applies(groups, kArqFlags, "--adaptive-rto", error)) return false;
       options.adaptive_rto = true;
     } else if (const char* e = flag_value(argv[i], "--executor", argc, argv, i)) {
+      if (!bench_applies(groups, kExecutorFlags, "--executor", error)) return false;
       if (std::strcmp(e, "per-site") == 0) {
         options.executor = engine::ExecutorKind::kPerSite;
       } else if (std::strcmp(e, "pooled") == 0) {
@@ -314,6 +329,7 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
         return false;
       }
     } else if (const char* w = flag_value(argv[i], "--workers", argc, argv, i)) {
+      if (!bench_applies(groups, kExecutorFlags, "--workers", error)) return false;
       char* end = nullptr;
       options.workers = std::strtol(w, &end, 10);
       if (end == w || *end != '\0') {
@@ -323,8 +339,10 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
       }
       options.workers_set = true;
     } else if (const char* tp = flag_value(argv[i], "--topology", argc, argv, i)) {
+      if (!bench_applies(groups, kTopologyFlags, "--topology", error)) return false;
       if (!parse_topology_spec(tp, options, error)) return false;
     } else if (const char* g = flag_value(argv[i], "--gateway", argc, argv, i)) {
+      if (!bench_applies(groups, kTopologyFlags, "--gateway", error)) return false;
       if (std::strcmp(g, "on") == 0) {
         options.gateway_on = true;
       } else if (std::strcmp(g, "off") == 0) {
@@ -336,6 +354,7 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
       }
       options.gateway_set = true;
     } else if (const char* b = flag_value(argv[i], "--batch", argc, argv, i)) {
+      if (!bench_applies(groups, kExecutorFlags, "--batch", error)) return false;
       char* end = nullptr;
       options.batch = std::strtol(b, &end, 10);
       if (end == b || *end != '\0' || options.batch < 1) {
@@ -373,10 +392,10 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
   return true;
 }
 
-BenchOptions parse_bench_args(int argc, char** argv) {
+BenchOptions parse_bench_args(int argc, char** argv, unsigned groups) {
   BenchOptions options;
   std::string error;
-  if (!try_parse_bench_args(argc, argv, options, error)) {
+  if (!try_parse_bench_args(argc, argv, options, error, groups)) {
     std::fprintf(stderr, "%s\n%s", error.c_str(),
                  bench_usage(argc > 0 ? argv[0] : "bench").c_str());
     std::exit(2);

@@ -157,14 +157,13 @@ struct BenchOptions {
   /// default so baseline bench.v1 artifacts stay byte-identical.
   bool critpath = false;
   /// Reliability-layer ARQ knobs for fault benches (see net::ReliableConfig):
-  /// `--arq gbn|sr` and `--adaptive-rto`. Benches without a fault stack
-  /// accept but ignore them.
+  /// `--arq gbn|sr` and `--adaptive-rto` (kArqFlags).
   net::ArqMode arq = net::ArqMode::kGoBackN;
   bool adaptive_rto = false;
   /// `--executor per-site|pooled` selects the experiment lane; `--workers N`
   /// sizes the pooled worker pool (pooled only — the parser rejects it with
   /// per-site); `--batch N` enables per-channel coalescing with an N-message
-  /// flush threshold.
+  /// flush threshold (kExecutorFlags).
   engine::ExecutorKind executor = engine::ExecutorKind::kPerSite;
   long workers = 0;
   bool workers_set = false;
@@ -172,7 +171,8 @@ struct BenchOptions {
   /// `--topology cells=K:wan-rtt=US[:loss=P]` splits the sites into K
   /// contiguous cells with a fixed RTT/2 one-way WAN delay (and optional
   /// WAN loss rate) between them; `--gateway on|off` toggles cross-DC
-  /// mailbox coalescing (on requires a multi-cell --topology).
+  /// mailbox coalescing (on requires a multi-cell --topology;
+  /// kTopologyFlags).
   bool topology_set = false;
   long topo_cells = 0;
   long topo_wan_rtt_us = 0;
@@ -194,20 +194,32 @@ void apply_executor_options(ExperimentParams& params, const BenchOptions& option
 /// --topology.
 void apply_topology_options(ExperimentParams& params, const BenchOptions& options);
 
+/// The flag groups a bench may apply on top of the common flags (--quick,
+/// --csv and the observability outputs). Each bench passes the groups it
+/// applies, and the parser rejects a flag of any other group: a flag that
+/// is accepted and then ignored would make a run look like something it
+/// is not.
+enum BenchFlagGroup : unsigned {
+  kExecutorFlags = 1u << 0,  ///< --executor, --workers, --batch
+  kTopologyFlags = 1u << 1,  ///< --topology, --gateway
+  kArqFlags = 1u << 2,       ///< --arq, --adaptive-rto
+};
+
 /// The flag reference printed on parse errors (argv0 names the binary).
 std::string bench_usage(const char* argv0);
 
 /// Testable parser core: fills `options` and returns true, or — on an
-/// unknown flag or a value-flag missing its value — sets `error` to an
-/// actionable message and returns false, leaving exit policy to the
-/// caller.
+/// unknown flag, a value-flag missing its value, or a flag of a group
+/// outside `groups` — sets `error` to an actionable message and returns
+/// false, leaving exit policy to the caller.
 bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
-                          std::string& error);
+                          std::string& error, unsigned groups = 0);
 
-/// CLI entry used by the bench binaries: a malformed command line prints
-/// the error plus usage to stderr and exits with status 2 — a typoed flag
-/// must not silently fall through to a full default run.
-BenchOptions parse_bench_args(int argc, char** argv);
+/// CLI entry used by the bench binaries, which pass the BenchFlagGroups
+/// they apply: a malformed command line prints the error plus usage to
+/// stderr and exits with status 2 — a typoed or ignored flag must not
+/// silently fall through to a default run.
+BenchOptions parse_bench_args(int argc, char** argv, unsigned groups = 0);
 
 /// Applies --quick to params (1 seed, 300 ops/site).
 void apply_quick(ExperimentParams& params, const BenchOptions& options);

@@ -198,25 +198,6 @@ bool SiteRuntime::read(VarId var, ReadCallback done, bool record) {
   return false;
 }
 
-std::pair<Value, WriteId> SiteRuntime::read_blocking(VarId var, bool record) {
-  const bool inline_done = read(
-      var,
-      [this](Value v, WriteId w) {
-        {
-          std::lock_guard lock(mutex_);
-          blocking_result_ = {v, w};
-        }
-        cv_.notify_all();
-      },
-      record);
-  (void)inline_done;  // same wait path either way: the callback always ran or will run
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [this] { return blocking_result_.has_value(); });
-  const auto result = *blocking_result_;
-  blocking_result_.reset();
-  return result;
-}
-
 bool SiteRuntime::fetch_pending() const {
   std::lock_guard lock(mutex_);
   return fetch_.has_value();

@@ -8,12 +8,13 @@
 // Protocol owns all causal-ordering meta-data.
 //
 // Thread-safety: all entry points take the site mutex, so the same runtime
-// works single-threaded under the discrete-event simulator and
-// concurrently under ThreadTransport (application thread + receipt
-// thread). Completion callbacks are invoked with the mutex released.
+// works single-threaded under the discrete-event simulator and under
+// ThreadTransport, where the site's own worker runs both subsystems but
+// other threads can still reach it (a gateway fanning a mailbox frame out
+// to its cell-mates, timer-driven layers). Completion callbacks are
+// invoked with the mutex released.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -72,9 +73,6 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   /// arrives (result false). At most one read may be outstanding — the
   /// application subsystem is sequential and RemoteFetch blocks (§II-B).
   bool read(VarId var, ReadCallback done, bool record = true);
-
-  /// Blocking variant for thread-transport drivers.
-  std::pair<Value, WriteId> read_blocking(VarId var, bool record = true);
 
   bool fetch_pending() const;
 
@@ -208,7 +206,6 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   const bool causal_fetch_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
 
   struct QueuedUpdate {
     std::unique_ptr<causal::PendingUpdate> update;
@@ -246,9 +243,6 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   std::optional<HeldReturn> held_return_;
   std::uint64_t next_fetch_seq_ = 0;
   std::uint64_t next_value_seq_ = 0;
-
-  // read_blocking hand-off
-  std::optional<std::pair<Value, WriteId>> blocking_result_;
 
   MessageProbe message_probe_;
   stats::MessageStats stats_;

@@ -5,10 +5,12 @@
 // its ThreadTimerDriver) and delegates assembly to engine::NodeStack and
 // schedule execution to engine::ScheduleDriver plus an
 // engine::PooledExecutor whose width the config selects: one worker per
-// site (ExecutorKind::kPerSite, the default — each site's application
-// thread blocks on RemoteFetch exactly as §II-B prescribes) or `workers`
-// workers (ExecutorKind::kPooled — N sites multiplexed over a fixed pool,
-// the throughput lane). Message counts and sizes are schedule-determined
+// site (ExecutorKind::kPerSite, the default — a site issues no op while
+// its RemoteFetch is outstanding, exactly as §II-B prescribes, and its
+// worker keeps serving its mailbox) or `workers` workers
+// (ExecutorKind::kPooled — N sites multiplexed over a fixed pool, the
+// throughput lane). Each site's packets and ops run on the worker that
+// owns it; no thread is per site. Message counts and sizes are schedule-determined
 // and must match the discrete-event run bit for bit where contents are
 // interleaving-independent (counts, Full-Track/optP clock sizes); the
 // test suite asserts the cross-transport equivalences that hold.

@@ -37,8 +37,8 @@ namespace causim::engine {
 /// discrete-event Cluster always uses SimExecutor and ignores this field.
 enum class ExecutorKind : std::uint8_t {
   /// W = n: one worker thread per site, the paper's one-process-per-site
-  /// testbed (a site blocks on RemoteFetch on its own thread). The
-  /// default.
+  /// testbed (a site's worker serves only that site's ops and packets).
+  /// The default.
   kPerSite = 0,
   /// N sites multiplexed over a fixed pool of `workers` worker threads
   /// (site s on worker s % W), the PaRiS/Okapi "many partitions per

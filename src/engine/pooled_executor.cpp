@@ -1,10 +1,11 @@
 #include "engine/pooled_executor.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <thread>
 
 #include "common/panic.hpp"
 #include "net/thread_transport.hpp"
+#include "net/timer.hpp"
 #include "obs/live/live_telemetry.hpp"
 
 namespace causim::engine {
@@ -23,8 +24,7 @@ PooledExecutor::PooledExecutor(NodeStack& stack, net::ThreadTransport& transport
     : stack_(stack),
       transport_(transport),
       workers_target_(resolve_workers(options.workers)),
-      time_scale_(options.time_scale),
-      workers_(std::make_unique<Worker[]>(workers_target_)) {}
+      time_scale_(options.time_scale) {}
 
 PooledExecutor::~PooledExecutor() { abort(); }
 
@@ -38,16 +38,14 @@ void PooledExecutor::play(ScheduleDriver& driver,
     sites_ = std::make_unique<SiteState[]>(n);
     live_sites_.store(n, std::memory_order_release);
     stop_.store(false, std::memory_order_release);
-    transport_.start();
+    const obs::live::LiveTelemetry* live = stack_.config().live;
+    const bool sample = live != nullptr && live->sample_interval() > 0;
+    timer_ = time_scale_ > 0.0 || sample ? std::make_unique<net::ThreadTimerDriver>()
+                                         : nullptr;
+    transport_.start(workers_target_, [this](SiteId s) { run_site(s); });
     started_ = true;
-    start_live_sampler();
-    // No worker runs yet, so the queues need no locks here.
-    for (unsigned i = 0; i < workers_target_; ++i) workers_[i].queue.clear();
-    for (SiteId s = 0; s < n; ++s) workers_[s % workers_target_].queue.push_back(s);
-    for (unsigned i = 0; i < workers_target_; ++i) {
-      Worker& w = workers_[i];
-      w.thread = std::thread([this, &w] { worker_loop(w); });
-    }
+    if (sample) timer_->schedule(0, [this] { sample_live(); });
+    for (SiteId s = 0; s < n; ++s) post_next(s);
   }
   // All application work happens on the pool; this thread only waits for
   // the last site to finish — or for an abort() to pull the plug.
@@ -58,83 +56,65 @@ void PooledExecutor::play(ScheduleDriver& driver,
   });
 }
 
-void PooledExecutor::worker_loop(Worker& w) {
-  for (;;) {
-    SiteId s;
-    {
-      std::unique_lock lock(w.mutex);
-      w.cv.wait(lock, [this, &w] {
-        return stop_.load(std::memory_order_acquire) || !w.queue.empty();
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      s = w.queue.front();
-      w.queue.pop_front();
-    }
-    run_site(s);
-  }
-}
-
 void PooledExecutor::run_site(SiteId s) {
+  if (stop_.load(std::memory_order_acquire)) return;  // aborted mid-run
   SiteState& st = sites_[s];
-  const std::vector<workload::Op>& ops = schedule_->per_site[s];
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) return;  // aborted mid-run
-    if (st.cursor >= ops.size()) {
-      site_finished();
-      return;
-    }
-    const workload::Op& op = ops[st.cursor];
-    if (time_scale_ > 0.0) {
-      const auto gap = static_cast<std::int64_t>(
-          static_cast<double>(op.at - st.prev_at) * time_scale_);
-      if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
-      st.prev_at = op.at;
-    }
-    st.gate.store(0, std::memory_order_release);
-    driver_->dispatch(s, op, [this, s] { complete(s); });
-    if (st.gate.fetch_add(1, std::memory_order_acq_rel) == 1) {
-      // `done` already fired (inline write/local read, or a remote read
-      // whose RM beat us here): this worker owns the continuation and
-      // keeps the site hot instead of a queue round trip.
-      ++st.cursor;
-      continue;
-    }
-    // Completion pending (RemoteFetch in flight): the callback owns the
-    // continuation and will re-enqueue the site. This worker is free.
-    return;
+  st.gate.store(0, std::memory_order_release);
+  driver_->dispatch(s, schedule_->per_site[s][st.cursor], [this, s] { complete(s); });
+  if (st.gate.fetch_add(1, std::memory_order_acq_rel) == 1) {
+    // `done` already fired (inline write/local read, or a remote read
+    // whose RM beat us here): this turn owns the continuation.
+    ++st.cursor;
+    post_next(s);
   }
+  // Otherwise the completion is pending (RemoteFetch in flight): the
+  // callback owns the continuation, and the worker moves on.
 }
 
 void PooledExecutor::complete(SiteId s) {
   SiteState& st = sites_[s];
   if (st.gate.fetch_add(1, std::memory_order_acq_rel) == 0) {
-    // The dispatching worker has not checked the gate yet — it arrives
-    // second and continues the site inline.
+    // The dispatching turn has not checked the gate yet — it arrives
+    // second and continues the site.
     return;
   }
-  // dispatch() already returned on the worker side: this callback (a
-  // receipt thread, typically) owns the continuation. The cursor touch is
-  // safe — the gate handoff is the site's serialization point.
+  // dispatch() already returned: this callback owns the continuation. The
+  // cursor touch is safe — the gate handoff is the site's serialization
+  // point.
   ++st.cursor;
-  enqueue(s);
+  post_next(s);
 }
 
-void PooledExecutor::enqueue(SiteId s) {
-  Worker& w = workers_[s % workers_target_];
-  {
-    std::lock_guard lock(w.mutex);
-    w.queue.push_back(s);
+void PooledExecutor::post_next(SiteId s) {
+  SiteState& st = sites_[s];
+  const std::vector<workload::Op>& ops = schedule_->per_site[s];
+  if (st.cursor >= ops.size()) {
+    site_finished();
+    return;
   }
-  w.cv.notify_one();
+  if (time_scale_ > 0.0) {
+    const SimTime at = ops[st.cursor].at;
+    const auto gap =
+        static_cast<SimTime>(static_cast<double>(at - st.prev_at) * time_scale_);
+    st.prev_at = at;
+    if (gap > 0) {
+      timer_->schedule(gap, [this, s] { transport_.post_app(s); });
+      return;
+    }
+  }
+  transport_.post_app(s);
 }
 
 void PooledExecutor::site_finished() {
-  if (live_sites_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last site done. Take the lock before notifying so play()'s
-    // predicate check cannot slip between our decrement and the notify.
-    std::lock_guard lock(done_mutex_);
-    done_cv_.notify_all();
-  }
+  if (live_sites_.fetch_sub(1, std::memory_order_acq_rel) == 1) wake_play();
+}
+
+void PooledExecutor::wake_play() {
+  // Passing through the mutex orders the state change before any
+  // predicate check in play() that could otherwise miss it and sleep
+  // forever.
+  { std::lock_guard lock(done_mutex_); }
+  done_cv_.notify_all();
 }
 
 void PooledExecutor::drain() {
@@ -158,8 +138,7 @@ void PooledExecutor::drain() {
 void PooledExecutor::finish() {
   std::lock_guard life(life_mutex_);
   if (!started_) return;
-  stop_workers();
-  stop_live_sampler();
+  if (timer_ != nullptr) timer_->stop();
   transport_.stop();
   started_ = false;
 }
@@ -167,56 +146,22 @@ void PooledExecutor::finish() {
 void PooledExecutor::abort() {
   std::lock_guard life(life_mutex_);
   if (!started_) return;
-  // Workers first: once they are joined no application thread can send,
-  // so the layers below can be torn down in the usual order (timer before
-  // transport — a retransmission firing into a stopped wire would panic).
-  stop_workers();
-  stop_live_sampler();
+  stop_.store(true, std::memory_order_release);
+  wake_play();
+  // Timers before the transport: a post or a retransmission firing into a
+  // stopped wire would panic. transport_.stop() then refuses further ops,
+  // waits out a running one, drains the wire and joins the pool.
+  if (timer_ != nullptr) timer_->stop();
   if (stack_.timer() != nullptr) stack_.timer()->stop();
   transport_.stop();
   started_ = false;
 }
 
-void PooledExecutor::stop_workers() {
-  stop_.store(true, std::memory_order_release);
-  // Passing through each waiter's mutex orders the store before any
-  // predicate check that could otherwise miss it and sleep forever.
-  { std::lock_guard lock(done_mutex_); }
-  done_cv_.notify_all();
-  for (unsigned i = 0; i < workers_target_; ++i) {
-    Worker& w = workers_[i];
-    { std::lock_guard lock(w.mutex); }
-    w.cv.notify_all();
-    if (w.thread.joinable()) w.thread.join();
-  }
-}
-
-void PooledExecutor::start_live_sampler() {
-  obs::live::LiveTelemetry* live = stack_.config().live;
-  if (live == nullptr || live->sample_interval() <= 0) return;
-  live_stop_ = false;
-  live_sampler_ = std::thread([this, live] {
-    const auto period = std::chrono::microseconds(live->sample_interval());
-    std::unique_lock lock(live_mutex_);
-    while (!live_stop_) {
-      lock.unlock();
-      // The stack snapshots under per-site locks; the telemetry stamps the
-      // sample with its own steady clock (no engine clock under threads).
-      stack_.live_sample(0);
-      lock.lock();
-      live_cv_.wait_for(lock, period, [this] { return live_stop_; });
-    }
-  });
-}
-
-void PooledExecutor::stop_live_sampler() {
-  if (!live_sampler_.joinable()) return;
-  {
-    std::lock_guard lock(live_mutex_);
-    live_stop_ = true;
-  }
-  live_cv_.notify_all();
-  live_sampler_.join();
+void PooledExecutor::sample_live() {
+  // The stack snapshots under per-site locks; the telemetry stamps the
+  // sample with its own steady clock (no engine clock under threads).
+  stack_.live_sample(0);
+  timer_->schedule(stack_.config().live->sample_interval(), [this] { sample_live(); });
 }
 
 }  // namespace causim::engine

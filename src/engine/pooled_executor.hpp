@@ -1,58 +1,48 @@
 // PooledExecutor — the thread substrate: N sites multiplexed over a fixed
-// pool of W workers, each with its own run queue.
+// pool of W workers.
 //
 // Two regimes are the same code at different W:
 //
 //   * W = n (ExecutorKind::kPerSite) — every site has its own worker, so
-//     the pool models the paper's one-process-per-site testbed: a site's
-//     application thread blocks on RemoteFetch and is woken by one notify
-//     on its own condvar when the RM arrives (§II-B).
+//     the pool models the paper's one-process-per-site testbed, whose
+//     application subsystem blocks on RemoteFetch (§II-B) while its
+//     message receipt subsystem keeps answering peers.
 //   * W < n (ExecutorKind::kPooled) — PaRiS/Okapi-style deployments that
 //     multiplex many partitions over fixed server resources; this is the
 //     msgs/sec-ceiling lane.
 //
-// The architecture is action-queue/invoker:
+// The pool is net::ThreadTransport's: each site is an actor whose mailbox
+// only worker s % W drains. This class supplies the application half —
+// one schedule op per turn of the site — and the run's lifecycle. A
+// blocked site holds no worker: the RM delivery that completes its fetch
+// posts its next op.
 //
-//   * site s always runs on worker s % W, whose run queue holds the
-//     worker's sites with runnable work (a site is in at most one queue,
-//     at most once, so the queues never contend across workers),
-//   * a worker pops a site and runs its schedule ops until one blocks (a
-//     RemoteFetch in flight) or the site finishes,
-//   * per-site invokers are serialized by an atomic completion gate, so a
-//     SiteRuntime never runs concurrently with itself, while different
-//     sites run genuinely in parallel,
-//   * a blocked site consumes no worker: the RM completion callback
-//     (receipt-thread context) re-enqueues it on its worker's queue, and
-//     the worker has long moved on to another of its sites.
+// Per-site invokers are serialized by an atomic completion gate.
+// dispatch()'s `done` may fire inline (writes, local reads) or later
+// (remote reads), and not always on the site's own turn: a gateway fans a
+// mailbox frame out to its cell-mates from its own turn. Both the
+// dispatching turn and the callback fetch_add the gate; whoever arrives
+// *second* (reads 1) owns the site's continuation — advance the cursor
+// and post the next op. Exactly one side continues, the blocking-fetch
+// rule holds, and no latch or per-op condvar is needed.
 //
-// The completion gate is the whole trick. dispatch()'s `done` may fire
-// inline (writes, local reads) or later from a receipt thread (remote
-// reads), and the two sides race. Both the dispatching worker and the
-// callback fetch_add the gate; whoever arrives *second* (reads 1) owns
-// the site's continuation — advance the cursor and either keep running
-// inline or push the site back on its run queue. Exactly one side
-// continues, the blocking-fetch rule holds, and no latch or per-op
-// condvar is needed.
-//
-// Schedule gaps (op.at) are slept out before each op, scaled by
-// Options::time_scale; the default 0 runs every site at full speed. At
-// W < n a sleeping site holds its worker, delaying the worker's other
-// sites — scaled gaps model think time, which occupies the server.
+// Schedule gaps (op.at) scaled by Options::time_scale delay the *posting*
+// of the next op through a timer; the default 0 posts at once. A site in
+// its think time holds no worker, so its mailbox keeps being served. The
+// same timer ticks the live sampler.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "engine/schedule_driver.hpp"
 
 namespace causim::net {
 class ThreadTransport;
+class ThreadTimerDriver;
 }  // namespace causim::net
 
 namespace causim::engine {
@@ -62,8 +52,9 @@ class PooledExecutor final : public Executor {
   struct Options {
     /// Worker threads; 0 = one per hardware thread (at least 1).
     unsigned workers = 0;
-    /// Sleep schedule gaps scaled by this factor (0 = run at full speed;
-    /// 1e-6 turns a millisecond of schedule time into a microsecond).
+    /// Delay each op by its schedule gap scaled by this factor (0 = run at
+    /// full speed; 1e-6 turns a millisecond of schedule time into a
+    /// microsecond).
     double time_scale = 0.0;
   };
 
@@ -85,11 +76,11 @@ class PooledExecutor final : public Executor {
   void drain() override;
   void finish() override;
 
-  /// Stops the pool, the timer and the transport so no background thread
-  /// outlives the stack (see Executor::abort). Safe to call concurrently
-  /// with a play() in flight — sites abandon their remaining ops and
-  /// play() returns; tests/test_pooled_executor.cpp races this against
-  /// live traffic deliberately.
+  /// Stops the timers and the transport (and with it the pool) so no
+  /// background thread outlives the stack (see Executor::abort). Safe to
+  /// call concurrently with a play() in flight — sites abandon their
+  /// remaining ops and play() returns; tests/test_pooled_executor.cpp
+  /// races this against live traffic deliberately.
   void abort() override;
 
   /// The resolved pool width.
@@ -106,25 +97,18 @@ class PooledExecutor final : public Executor {
     std::atomic<int> gate{0};
   };
 
-  /// One pool worker and its run queue. Cache-line aligned so neighbouring
-  /// workers' queue locks do not share a line.
-  struct alignas(64) Worker {
-    std::mutex mutex;
-    std::condition_variable cv;  // runnable site or stop
-    std::deque<SiteId> queue;
-    std::thread thread;
-  };
-
-  void worker_loop(Worker& w);
-  /// Runs ops of `s` until it blocks or finishes (worker context).
+  /// Runs the site's next op (worker context, the site's turn).
   void run_site(SiteId s);
   /// dispatch() completion for site `s` (any context).
   void complete(SiteId s);
-  void enqueue(SiteId s);
+  /// Posts the op under the site's cursor, after its scaled gap, or
+  /// retires the site when its schedule is done.
+  void post_next(SiteId s);
   void site_finished();
-  void stop_workers();
-  void start_live_sampler();
-  void stop_live_sampler();
+  void wake_play();
+  /// One live time-series sample, then the next tick (timer context): real
+  /// time stands in for the DES clock.
+  void sample_live();
 
   NodeStack& stack_;
   net::ThreadTransport& transport_;
@@ -141,23 +125,17 @@ class PooledExecutor final : public Executor {
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
 
-  /// Declared after everything the worker threads touch.
-  std::unique_ptr<Worker[]> workers_;
+  /// Posts ops whose scaled schedule gap has not elapsed yet and ticks the
+  /// live sampler every LiveTelemetry::sample_interval microseconds of
+  /// wall time. play() creates it only when time_scale > 0 or live
+  /// telemetry samples.
+  std::unique_ptr<net::ThreadTimerDriver> timer_;
 
   /// Serializes play() startup against abort()/finish() teardown, so an
   /// abort racing a starting run sees either "not started" or the fully
-  /// assembled pool — never a half-spawned worker set.
+  /// started run.
   std::mutex life_mutex_;
   bool started_ = false;
-
-  /// Live time-series sampler: real time stands in for the DES clock, so
-  /// a dedicated thread ticks NodeStack::live_sample every
-  /// LiveTelemetry::sample_interval microseconds of wall time until
-  /// finish().
-  std::mutex live_mutex_;
-  std::condition_variable live_cv_;
-  bool live_stop_ = false;
-  std::thread live_sampler_;
 };
 
 }  // namespace causim::engine

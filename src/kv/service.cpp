@@ -32,8 +32,8 @@ std::string num(double v) {
 }
 
 /// Per-site measurement state. Sites are serialized on every substrate
-/// (the blocking-op contract), but completions fire on whichever receipt
-/// thread delivered the RM, so the histogram updates take a mutex.
+/// (the blocking-op contract), but completions fire on whichever thread
+/// delivered the RM, so the histogram updates take a mutex.
 struct SiteLane {
   std::mutex mutex;
   std::size_t cursor = 0;

@@ -96,7 +96,7 @@ class Session {
   SiteId home_;
   /// Serializes cut updates against admissibility checks: a session's ops
   /// run one at a time (the blocking-op contract), but completions fire on
-  /// whichever receipt thread delivered the RM.
+  /// whichever thread delivered the RM.
   mutable std::mutex mutex_;
   std::unordered_map<VarId, Frontier> required_;
   SessionStats stats_;

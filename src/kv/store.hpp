@@ -14,8 +14,8 @@
 //
 // The store never blocks a thread itself — completion is a callback, so
 // the same code path serves the discrete-event simulator (callbacks fire
-// from simulator events) and both thread substrates (callbacks fire on
-// receipt threads).
+// from simulator events) and the thread substrate (callbacks fire on the
+// pool worker that delivered the RM).
 #pragma once
 
 #include <cstdint>

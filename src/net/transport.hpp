@@ -4,7 +4,8 @@
 // message passing … connected by FIFO channels" (realized there as TCP).
 // causim provides two interchangeable implementations:
 //   * SimTransport    — deterministic discrete-event delivery (default),
-//   * ThreadTransport — real threads and mutex/condvar FIFO queues.
+//   * ThreadTransport — real threads: per-site FIFO mailboxes drained by
+//                       a worker pool.
 // Protocol and runtime code is written only against this interface, so the
 // test suite can assert both substrates produce equivalent executions.
 #pragma once
@@ -32,8 +33,8 @@ struct Packet {
 };
 
 /// Receiver callback, one per site. Implementations must tolerate being
-/// called from the transport's delivery context (the simulator loop or a
-/// per-site receipt thread).
+/// called from the transport's delivery context (the simulator loop or
+/// the pool worker that owns the site).
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;

@@ -17,8 +17,8 @@
 //    the k-th activation of (origin, var) at a site is the k-th send.
 //
 //  * Time-series sampler. A periodic driver (SimExecutor under the DES,
-//    a sampler thread under PooledExecutor) calls record_sample() with the
-//    cluster-wide gauges; samples append to a pre-reserved buffer and
+//    the executor's timer under PooledExecutor) calls record_sample() with
+//    the cluster-wide gauges; samples append to a pre-reserved buffer and
 //    serialize as a deterministic `causim.timeseries.v1` JSON stream.
 //
 // LiveTelemetry is itself a TraceSink: the engine interposes it in front

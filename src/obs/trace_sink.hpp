@@ -5,7 +5,7 @@
 // when off (the micro_ops acceptance bound). `NullSink` exists for call
 // sites that want a non-null sink object; `RingBufferSink` is the
 // recorder: a preallocated buffer whose writers claim slots with one
-// atomic fetch_add — no locks on the emit path, so receipt threads under
+// atomic fetch_add — no locks on the emit path, so the pool workers under
 // ThreadTransport never serialize on the trace.
 //
 // The buffer intentionally drops (and counts) events past its capacity

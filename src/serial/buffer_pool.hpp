@@ -12,10 +12,10 @@
 //
 // The pool is shared by every layer a frame travels through — site
 // runtimes, both transports, and the reliability sublayer — and guarded by
-// a mutex so ThreadTransport's receipt threads can release what an
-// application thread acquired. Recycling is best-effort by design: a buffer
-// that leaves the clean path (dropped by the fault injector, captured by a
-// trace) is simply freed by its destructor, never leaked.
+// a mutex so one pool worker can release what another acquired.
+// Recycling is best-effort by design: a buffer that leaves the clean path
+// (dropped by the fault injector, captured by a trace) is simply freed by
+// its destructor, never leaked.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,12 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_support/args.hpp"
 #include "bench_support/experiment.hpp"
@@ -13,6 +17,15 @@
 
 namespace causim::bench_support {
 namespace {
+
+constexpr unsigned kAllBenchFlags = kExecutorFlags | kTopologyFlags | kArqFlags;
+
+/// The parser core with every flag group applied; the per-bench group
+/// gate has its own tests.
+bool parse_all(int argc, const char** argv, BenchOptions& options, std::string& error) {
+  return try_parse_bench_args(argc, const_cast<char**>(argv), options, error,
+                              kAllBenchFlags);
+}
 
 TEST(BenchSupport, PartialReplicationFactorMatchesPaper) {
   // p = 0.3·n for the paper's sweep points; never below 1.
@@ -45,7 +58,7 @@ TEST(BenchSupport, ParseArgsAcceptsValueFlagsInBothStyles) {
                         "--report-out=r.json"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(5, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(5, argv, o, error)) << error;
   EXPECT_EQ(o.trace_out, "t.json");
   EXPECT_EQ(o.metrics_out, "m.csv");
   EXPECT_EQ(o.report_out, "r.json");
@@ -57,7 +70,7 @@ TEST(BenchSupport, ParseArgsRejectsUnknownFlag) {
   const char* argv[] = {"bench", "--qucik"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("--qucik"), std::string::npos);
 }
 
@@ -65,13 +78,13 @@ TEST(BenchSupport, ParseArgsAcceptsArqFlagsInBothStyles) {
   const char* argv[] = {"bench", "--arq=sr", "--adaptive-rto"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(3, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(3, argv, o, error)) << error;
   EXPECT_EQ(o.arq, net::ArqMode::kSelectiveRepeat);
   EXPECT_TRUE(o.adaptive_rto);
 
   const char* detached[] = {"bench", "--arq", "gbn"};
   BenchOptions d;
-  ASSERT_TRUE(try_parse_bench_args(3, const_cast<char**>(detached), d, error)) << error;
+  ASSERT_TRUE(parse_all(3, detached, d, error)) << error;
   EXPECT_EQ(d.arq, net::ArqMode::kGoBackN);
   EXPECT_FALSE(d.adaptive_rto);  // defaults stay byte-identical to go-back-N
 
@@ -85,7 +98,7 @@ TEST(BenchSupport, ParseArgsRejectsBadArqMode) {
   const char* argv[] = {"bench", "--arq=tcp"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("tcp"), std::string::npos);
   EXPECT_NE(error.find("gbn"), std::string::npos) << "error should name the choices";
 }
@@ -95,7 +108,7 @@ TEST(BenchSupport, ParseArgsAcceptsPooledExecutorFlags) {
                         "--batch", "8"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(6, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(6, argv, o, error)) << error;
   EXPECT_EQ(o.executor, engine::ExecutorKind::kPooled);
   EXPECT_EQ(o.workers, 4);
   EXPECT_TRUE(o.workers_set);
@@ -113,7 +126,7 @@ TEST(BenchSupport, ParseArgsPooledWithoutWorkersUsesHardwareCount) {
   const char* argv[] = {"bench", "--executor=pooled"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(2, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(2, argv, o, error)) << error;
   EXPECT_EQ(o.executor, engine::ExecutorKind::kPooled);
   EXPECT_FALSE(o.workers_set);
 
@@ -127,7 +140,7 @@ TEST(BenchSupport, ParseArgsRejectsBogusExecutor) {
   const char* argv[] = {"bench", "--executor=fibers"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("fibers"), std::string::npos);
   EXPECT_NE(error.find("pooled"), std::string::npos)
       << "error should name the choices";
@@ -138,15 +151,67 @@ TEST(BenchSupport, ParseArgsRejectsDegenerateWorkerCounts) {
     const char* argv[] = {"bench", "--executor=pooled", bad};
     BenchOptions o;
     std::string error;
-    EXPECT_FALSE(try_parse_bench_args(3, const_cast<char**>(argv), o, error))
+    EXPECT_FALSE(parse_all(3, argv, o, error))
         << bad;
     EXPECT_NE(error.find(">= 1"), std::string::npos) << error;
   }
   const char* argv[] = {"bench", "--executor=pooled", "--workers=nope"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(3, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(3, argv, o, error));
   EXPECT_NE(error.find("nope"), std::string::npos);
+}
+
+TEST(BenchSupport, ParseArgsRejectsFlagsOfGroupsTheBenchDoesNotApply) {
+  // A bench that does not apply a flag group refuses its flags: a flag
+  // that is accepted and then ignored makes a run look like another.
+  struct Case {
+    std::vector<const char*> args;
+    BenchFlagGroup group;
+  };
+  const std::vector<Case> cases = {
+      {{"--executor", "pooled"}, kExecutorFlags},
+      {{"--workers=2"}, kExecutorFlags},
+      {{"--batch", "8"}, kExecutorFlags},
+      {{"--topology", "cells=2:wan-rtt=50000"}, kTopologyFlags},
+      {{"--gateway=off"}, kTopologyFlags},
+      {{"--arq", "sr"}, kArqFlags},
+      {{"--adaptive-rto"}, kArqFlags}};
+  for (const Case& c : cases) {
+    std::vector<const char*> argv = {"bench", "--quick"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    BenchOptions o;
+    std::string error;
+    EXPECT_FALSE(try_parse_bench_args(static_cast<int>(argv.size()),
+                                      const_cast<char**>(argv.data()), o, error,
+                                      kAllBenchFlags & ~c.group))
+        << c.args.front();
+    const std::string flag(c.args.front(), std::strcspn(c.args.front(), "="));
+    EXPECT_NE(error.find(flag + " is ignored by this bench"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("drop the flag"), std::string::npos) << error;
+  }
+  // With no group applied, as for most benches, only the common flags parse.
+  const char* pooled[] = {"bench", "--quick", "--executor", "pooled"};
+  BenchOptions o;
+  std::string error;
+  EXPECT_FALSE(try_parse_bench_args(4, const_cast<char**>(pooled), o, error));
+}
+
+TEST(BenchSupport, ParseArgsAcceptsEachGroupOnItsOwn) {
+  const std::vector<std::pair<BenchFlagGroup, std::vector<const char*>>> lines = {
+      {kExecutorFlags, {"--executor", "pooled", "--workers", "2", "--batch=8"}},
+      {kTopologyFlags, {"--topology", "cells=2:wan-rtt=50000", "--gateway", "on"}},
+      {kArqFlags, {"--arq=sr", "--adaptive-rto"}}};
+  for (const auto& [group, args] : lines) {
+    std::vector<const char*> argv = {"bench"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    BenchOptions o;
+    std::string error;
+    EXPECT_TRUE(try_parse_bench_args(static_cast<int>(argv.size()),
+                                     const_cast<char**>(argv.data()), o, error, group))
+        << error;
+  }
 }
 
 TEST(BenchSupport, ParseArgsRejectsWorkersWithPerSiteExecutor) {
@@ -155,7 +220,7 @@ TEST(BenchSupport, ParseArgsRejectsWorkersWithPerSiteExecutor) {
   const char* implicit[] = {"bench", "--workers", "4"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(3, const_cast<char**>(implicit), o, error));
+  EXPECT_FALSE(parse_all(3, implicit, o, error));
   EXPECT_NE(error.find("--executor pooled"), std::string::npos)
       << "error must say how to fix it: " << error;
 
@@ -163,20 +228,20 @@ TEST(BenchSupport, ParseArgsRejectsWorkersWithPerSiteExecutor) {
                                      "--executor=per-site"};
   BenchOptions o2;
   EXPECT_FALSE(
-      try_parse_bench_args(3, const_cast<char**>(explicit_per_site), o2, error));
+      parse_all(3, explicit_per_site, o2, error));
   EXPECT_NE(error.find("--executor pooled"), std::string::npos) << error;
 
   // And the reversed order: --executor pooled after --workers is fine.
   const char* ok[] = {"bench", "--workers", "4", "--executor", "pooled"};
   BenchOptions o3;
-  EXPECT_TRUE(try_parse_bench_args(5, const_cast<char**>(ok), o3, error)) << error;
+  EXPECT_TRUE(parse_all(5, ok, o3, error)) << error;
 }
 
 TEST(BenchSupport, ParseArgsRejectsDegenerateBatchThreshold) {
   const char* argv[] = {"bench", "--batch=0"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("--batch"), std::string::npos);
 }
 
@@ -185,7 +250,7 @@ TEST(BenchSupport, ParseArgsAcceptsTopologyAndGatewayFlags) {
                         "--gateway", "on"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(4, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(4, argv, o, error)) << error;
   EXPECT_TRUE(o.topology_set);
   EXPECT_EQ(o.topo_cells, 3);
   EXPECT_EQ(o.topo_wan_rtt_us, 80000);
@@ -196,7 +261,7 @@ TEST(BenchSupport, ParseArgsAcceptsTopologyAndGatewayFlags) {
   // loss is optional and key order inside the spec must not matter.
   const char* reordered[] = {"bench", "--topology", "wan-rtt=40000:cells=2"};
   BenchOptions o2;
-  ASSERT_TRUE(try_parse_bench_args(3, const_cast<char**>(reordered), o2, error))
+  ASSERT_TRUE(parse_all(3, reordered, o2, error))
       << error;
   EXPECT_EQ(o2.topo_cells, 2);
   EXPECT_EQ(o2.topo_wan_rtt_us, 40000);
@@ -222,7 +287,7 @@ TEST(BenchSupport, ParseArgsRejectsMalformedTopologySpecs) {
     const char* argv[] = {"bench", c.spec};
     BenchOptions o;
     std::string error;
-    EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error))
+    EXPECT_FALSE(parse_all(2, argv, o, error))
         << c.spec;
     EXPECT_NE(error.find(c.needle), std::string::npos)
         << c.spec << " -> " << error;
@@ -233,7 +298,7 @@ TEST(BenchSupport, ParseArgsRejectsBogusGatewayValue) {
   const char* argv[] = {"bench", "--gateway=maybe"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("on or off"), std::string::npos);
 }
 
@@ -244,19 +309,19 @@ TEST(BenchSupport, ParseArgsRejectsGatewayOnWithoutMultiCellTopology) {
   const char* no_topo[] = {"bench", "--gateway=on"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(no_topo), o, error));
+  EXPECT_FALSE(parse_all(2, no_topo, o, error));
   EXPECT_NE(error.find("--topology cells=K:wan-rtt=US"), std::string::npos);
 
   const char* one_cell[] = {"bench", "--gateway=on",
                             "--topology=cells=1:wan-rtt=80000"};
   BenchOptions o2;
-  EXPECT_FALSE(try_parse_bench_args(3, const_cast<char**>(one_cell), o2, error));
+  EXPECT_FALSE(parse_all(3, one_cell, o2, error));
   EXPECT_NE(error.find("K >= 2"), std::string::npos);
 
   // --gateway off never needs a topology.
   const char* off[] = {"bench", "--gateway=off"};
   BenchOptions o3;
-  EXPECT_TRUE(try_parse_bench_args(2, const_cast<char**>(off), o3, error))
+  EXPECT_TRUE(parse_all(2, off, o3, error))
       << error;
 }
 
@@ -265,7 +330,7 @@ TEST(BenchSupport, ApplyTopologyOptionsBuildsBlocksAndWanProfile) {
                         "--gateway=on"};
   BenchOptions o;
   std::string error;
-  ASSERT_TRUE(try_parse_bench_args(3, const_cast<char**>(argv), o, error)) << error;
+  ASSERT_TRUE(parse_all(3, argv, o, error)) << error;
 
   ExperimentParams params;
   params.sites = 8;
@@ -289,14 +354,14 @@ TEST(BenchSupport, ParseArgsRejectsPositionalArguments) {
   const char* argv[] = {"bench", "quick"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
 }
 
 TEST(BenchSupport, ParseArgsRejectsValueFlagMissingItsValue) {
   const char* argv[] = {"bench", "--trace-out"};
   BenchOptions o;
   std::string error;
-  EXPECT_FALSE(try_parse_bench_args(2, const_cast<char**>(argv), o, error));
+  EXPECT_FALSE(parse_all(2, argv, o, error));
   EXPECT_NE(error.find("--trace-out"), std::string::npos);
 }
 
@@ -373,7 +438,7 @@ TEST(Observability, RejectsUnwritableOutputPathUpFront) {
     const char* argv[] = {"bench", arg.c_str()};
     BenchOptions options;
     std::string error;
-    ASSERT_TRUE(try_parse_bench_args(2, const_cast<char**>(argv), options, error))
+    ASSERT_TRUE(parse_all(2, argv, options, error))
         << error;
     testing::internal::CaptureStderr();
     Observability observability(options, "test");

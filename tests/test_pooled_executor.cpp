@@ -11,8 +11,8 @@
 //     50; CI's PR lane sets a short value, the TSan lane the full one),
 //   * shutdown races: abort() fired from another thread at arbitrary
 //     points of a live play(), including after natural completion and
-//     repeatedly — the invoker gates, the flush timers and the receipt
-//     threads must all tear down without deadlock or leaks (this is the
+//     repeatedly — the invoker gates, the flush timers and the pool
+//     workers must all tear down without deadlock or leaks (this is the
 //     test TSan chews on),
 //   * steady-state resource sanity: the coalescing path keeps recycling
 //     frames through the shared serial::BufferPool.

@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "bench_support/experiment.hpp"
 #include "dsm/cluster.hpp"
 #include "dsm/thread_cluster.hpp"
+#include "obs/trace_sink.hpp"
 #include "workload/schedule.hpp"
 
 namespace causim::dsm {
@@ -115,6 +121,121 @@ TEST(ThreadCluster, ScaledGapsStillComplete) {
                              std::chrono::steady_clock::now() - start)
                              .count();
     EXPECT_GE(took_us, floor_us) << engine::to_string(executor);
+    EXPECT_TRUE(cluster.check().ok()) << engine::to_string(executor);
+  }
+}
+
+/// Runs an op the way ScheduleDriver::dispatch does, for hooks that only
+/// want to observe it.
+void run_op(ThreadCluster& cluster, SiteId s, const workload::Op& op,
+            std::function<void()> done) {
+  SiteRuntime& site = cluster.site(s);
+  if (op.kind == workload::Op::Kind::kWrite) {
+    site.write(op.var, op.payload_bytes, op.record);
+    done();
+    return;
+  }
+  site.read(op.var, [done = std::move(done)](Value, WriteId) { done(); }, op.record);
+}
+
+/// Collects the threads that emitted a kDeliver event.
+class DeliverThreads final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& event) override {
+    if (event.type != obs::TraceEventType::kDeliver) return;
+    std::lock_guard lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(ThreadCluster, PacketsAndOpsShareThePoolWorkers) {
+  // Each site is an actor drained by its pool worker: packet delivery and
+  // schedule ops run on the same W threads, and no other thread delivers.
+  for (const unsigned workers : {1u, 2u}) {
+    const SiteId n = 4;
+    DeliverThreads sink;
+    ClusterConfig config = config_for(causal::ProtocolKind::kOptTrack, n, 61);
+    config.executor = engine::ExecutorKind::kPooled;
+    config.workers = workers;
+    config.trace_sink = &sink;
+    ThreadCluster cluster(config);
+    std::mutex mutex;
+    std::set<std::thread::id> dispatch_threads;
+    cluster.driver().set_dispatch_hook(
+        [&](SiteId s, const workload::Op& op, std::function<void()> done) {
+          {
+            std::lock_guard lock(mutex);
+            dispatch_threads.insert(std::this_thread::get_id());
+          }
+          run_op(cluster, s, op, std::move(done));
+        });
+    cluster.execute(schedule_for(n, 61));
+
+    std::set<std::thread::id> all = sink.threads();
+    EXPECT_FALSE(all.empty()) << "W = " << workers;
+    all.insert(dispatch_threads.begin(), dispatch_threads.end());
+    EXPECT_EQ(all.size(), workers) << "W = " << workers;
+    EXPECT_TRUE(cluster.check().ok()) << "W = " << workers;
+  }
+}
+
+TEST(ThreadCluster, ThinkTimeDoesNotBlockTheMailbox) {
+  // Site 0 thinks for a long scaled gap between its two ops; meanwhile
+  // site 1 reads a variable only site 0 holds. Site 0's mailbox must keep
+  // answering fetches during the gap, as the paper's receipt subsystem
+  // does, on one worker per site and on one worker for both sites.
+  constexpr double kScale = 1e-3;
+  constexpr SimTime kGap = 200'000 * kMillisecond;  // 200 ms once scaled
+  for (const auto executor :
+       {engine::ExecutorKind::kPerSite, engine::ExecutorKind::kPooled}) {
+    ClusterConfig config = config_for(causal::ProtocolKind::kOptTrack, 2, 62);
+    config.replication = 1;
+    config.executor = executor;
+    if (executor == engine::ExecutorKind::kPooled) config.workers = 1;
+    ThreadCluster::Options options;
+    options.time_scale = kScale;
+    ThreadCluster cluster(config, options);
+    VarId held = 0;
+    while (cluster.placement().replicated_at(held, 1)) ++held;
+    ASSERT_TRUE(cluster.placement().replicated_at(held, 0));
+
+    using Kind = workload::Op::Kind;
+    workload::Schedule schedule;
+    schedule.per_site = {{workload::Op{Kind::kWrite, held, 0},
+                          workload::Op{Kind::kWrite, held, kGap}},
+                         {workload::Op{Kind::kRead, held, kMillisecond}}};
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    std::atomic<std::int64_t> read_done_us{-1};
+    cluster.driver().set_dispatch_hook(
+        [&](SiteId s, const workload::Op& op, std::function<void()> done) {
+          if (s != 1) {
+            run_op(cluster, s, op, std::move(done));
+            return;
+          }
+          cluster.site(s).read(op.var, [&, done = std::move(done)](Value, WriteId) {
+            read_done_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                               Clock::now() - start)
+                               .count();
+            done();
+          });
+        });
+    cluster.execute(schedule);
+    const auto took_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             Clock::now() - start)
+                             .count();
+    const auto gap_us = static_cast<std::int64_t>(static_cast<double>(kGap) * kScale);
+    EXPECT_GE(took_us, gap_us) << engine::to_string(executor);
+    ASSERT_GE(read_done_us.load(), 0) << engine::to_string(executor);
+    EXPECT_LT(read_done_us.load(), gap_us / 2) << engine::to_string(executor);
     EXPECT_TRUE(cluster.check().ok()) << engine::to_string(executor);
   }
 }
